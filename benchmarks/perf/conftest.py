@@ -1,11 +1,12 @@
 """Perf-suite plumbing: collect measured medians and persist them.
 
 Each perf case registers its median wall time under a stable key; at
-session end the collected numbers are merged into
-``benchmarks/results/BENCH_streams.json`` as the ``after`` section
-(``before`` holds the pre-columnar baseline and is never overwritten).
-Under ``--benchmark-disable`` the cases still run (CI correctness
-coverage) but no stats exist, so the file is left untouched.
+session end the collected numbers are merged as the ``after`` section
+into ``benchmarks/results/BENCH_streams.local.json``, an untracked
+sibling of the committed ``BENCH_streams.json`` baseline (which a test
+run never rewrites; a fresh local file starts from its ``before`` and
+``after`` sections).  Under ``--benchmark-disable`` the cases still run
+(CI correctness coverage) but no stats exist, so nothing is written.
 """
 
 import json
@@ -13,8 +14,9 @@ import os
 
 import pytest
 
-_RESULTS_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                             "results", "BENCH_streams.json")
+_RESULTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "results")
+_BASELINE_PATH = os.path.join(_RESULTS_DIR, "BENCH_streams.json")
+_LOCAL_PATH = os.path.join(_RESULTS_DIR, "BENCH_streams.local.json")
 
 _collected = {}
 
@@ -36,11 +38,13 @@ def pytest_sessionfinish(session, exitstatus):
     del session, exitstatus
     if not _collected:
         return
-    path = os.path.abspath(_RESULTS_PATH)
+    path = os.path.abspath(_LOCAL_PATH)
     payload = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            payload = json.load(handle)
+    for source in (path, os.path.abspath(_BASELINE_PATH)):
+        if os.path.exists(source):
+            with open(source) as handle:
+                payload = json.load(handle)
+            break
     payload.setdefault("after", {}).update(
         {k: round(v, 6) for k, v in _collected.items()})
     os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -2,7 +2,8 @@
 
 The SGX-style schemes use a 16 KB version-number cache and an 8 KB MAC
 cache, both LRU with write-back and write-allocate (Section IV-A). Lines
-are 64-byte metadata blocks.
+are 64-byte metadata blocks (:data:`LINE_BYTES`); a line's tag is its
+address divided by the line size.
 """
 
 from __future__ import annotations
@@ -19,20 +20,17 @@ LINE_BYTES = 64
 class MetadataCache:
     """A byte-capacity view over :class:`repro.utils.lru.LruCache`.
 
-    Batch drivers (the compiled kernel and the reuse-distance engine)
-    replace the whole contents per drive; the new state is kept as flat
-    arrays and folded into the ``OrderedDict`` lazily — the dict is only
-    needed when something observes it (``raw_lines``, ``access``,
-    ``probe``, ``flush``), not between back-to-back drives.
+    The compiled drive kernel replaces the whole contents per drive; the
+    new state is kept as flat arrays and folded into the ``OrderedDict``
+    lazily — the dict is only needed when something observes it
+    (``raw_lines``, ``access``, ``flush``), not between back-to-back
+    kernel drives.
     """
 
-    def __init__(self, capacity_bytes: int, line_bytes: int = LINE_BYTES):
-        if capacity_bytes < line_bytes:
+    def __init__(self, capacity_bytes: int):
+        if capacity_bytes < LINE_BYTES:
             raise ValueError("capacity smaller than one line")
-        if line_bytes <= 0:
-            raise ValueError("line_bytes must be positive")
-        self.line_bytes = line_bytes
-        self._cache = LruCache(capacity_bytes // line_bytes)
+        self._cache = LruCache(capacity_bytes // LINE_BYTES)
         #: (tags, dirty) arrays from the latest batch drive, not yet
         #: folded into the OrderedDict (LRU order, least recent first).
         self._pending_state = None
@@ -68,7 +66,7 @@ class MetadataCache:
     @property
     def raw_lines(self):
         """Underlying LRU tag map for batch drivers (tags are
-        ``line_addr // line_bytes``); see :meth:`LruCache.raw_lines`."""
+        ``line_addr // LINE_BYTES``); see :meth:`LruCache.raw_lines`."""
         self._sync()
         return self._cache.raw_lines
 
@@ -84,12 +82,12 @@ class MetadataCache:
         evicted line's address so the caller can emit the DRAM write.
         """
         self._sync()
-        tag = line_addr // self.line_bytes
+        tag = line_addr // LINE_BYTES
         hit, writeback = self._cache.access(tag, write=write)
-        writeback_addr = None if writeback is None else writeback * self.line_bytes
+        writeback_addr = None if writeback is None else writeback * LINE_BYTES
         return hit, writeback_addr
 
     def flush(self):
         """Evict all lines; returns addresses of dirty lines."""
         self._sync()
-        return [tag * self.line_bytes for tag in self._cache.flush()]
+        return [tag * LINE_BYTES for tag in self._cache.flush()]

@@ -4,8 +4,7 @@ Zero-dependency observability for the whole runner stack.  The span API
 instruments the four pipeline stages (accelerator simulate / protect /
 DRAM / crypto) per layer and per cell; counters and gauges expose the
 load-bearing internals (result-store hits, eval-service memo tiers,
-reuse-engine resolution tiers, native-kernel selection, executor pool
-state); exporters render a whole sweep as a JSONL event log, an
+native-kernel selection and fallbacks, executor pool state); exporters render a whole sweep as a JSONL event log, an
 aggregated metrics summary, or a Chrome trace-event file that opens in
 Perfetto.
 

@@ -6,22 +6,20 @@ duplicates are run-length compressed (sequential tile streams hit the
 same line 8 times in a row), and the compressed stream drives the LRU
 cache model.  Misses and dirty evictions become metadata DRAM accesses.
 
-Since PR 5 the LRU drives themselves are no longer scalar: the
-run-compressed line stream goes through (in order of preference)
+The run-compressed line stream drives the caches through one of two
+tiers:
 
-1. the compiled drive kernel (:mod:`repro.utils.native`) —
-   the scalar state machine in native code, built on demand when a C
-   compiler is available;
-2. the vectorized reuse-distance engine
-   (:mod:`repro.protection.reuse_engine`) — exact offline LRU via
-   stack-distance analysis, pure numpy; the VN tree walk is resolved by
-   a verified fixpoint iteration;
-3. the inlined ``OrderedDict`` drive — kept as the always-correct
-   oracle (it is the VN fixpoint's fallback for adversarial streams and
-   what the equivalence tests pin the fast paths against).
+1. the compiled drive kernel (:mod:`repro.utils.native`) — the scalar
+   state machine in native code, built on demand when a C compiler is
+   available;
+2. the scalar ``_process_scalar`` oracles — the MAC drive goes through
+   :meth:`MetadataCache.access` (the :class:`repro.utils.lru.LruCache`
+   reference), the VN drive inlines the same ``OrderedDict`` discipline
+   around the integrity-tree walk.  They run when no kernel is
+   available and are what the equivalence tests pin the kernel against.
 
-All three tiers produce bit-identical ``CacheStats``, miss/writeback
-streams, and final cache contents (``tests/protection/test_reuse_engine``
+Both tiers produce bit-identical ``CacheStats``, miss/writeback streams,
+and final cache contents (``tests/protection/test_drive_tiers.py``
 checks them against each other on adversarial streams).
 """
 
@@ -42,7 +40,6 @@ from repro.accel.trace import (
     kind_code,
 )
 from repro.integrity.caches import MetadataCache
-from repro.protection import reuse_engine
 from repro.utils import native
 from repro.protection.layout import (
     ENTRIES_PER_LINE,
@@ -206,32 +203,11 @@ def _line_runs(stream: BlockStream,
     return got
 
 
-def _check_line_bytes(line_bytes: int) -> int:
-    if LINE_BYTES % line_bytes:
-        raise ValueError(
-            f"cache line_bytes={line_bytes} must divide the {LINE_BYTES} B "
-            "metadata line stride")
-    return LINE_BYTES // line_bytes
-
-
 def _apply_drive_output(cache: MetadataCache, out: CacheTrafficResult,
                         result: "native.DriveOutput") -> None:
     """Fold one kernel drive into the traffic result and cache state."""
     out.extend_arrays(result.ev_cycles, result.ev_addrs, result.ev_writes,
                       misses=result.misses)
-    cache.note(result.hits, result.misses, result.evictions,
-               result.dirty_evictions)
-    cache.set_state_arrays(result.state_tags, result.state_dirty)
-
-
-def _apply_engine_result(cache: MetadataCache, out: CacheTrafficResult,
-                         result: "reuse_engine.DriveResult",
-                         cycles: np.ndarray, tags: np.ndarray,
-                         wb_first: bool) -> None:
-    """Fold one reuse-engine drive into the traffic result and state."""
-    _, ev_cyc, ev_addr, ev_wr = reuse_engine.assemble_events(
-        result, cycles, tags, cache.line_bytes, wb_first=wb_first)
-    out.extend_arrays(ev_cyc, ev_addr, ev_wr, misses=result.misses)
     cache.note(result.hits, result.misses, result.evictions,
                result.dirty_evictions)
     cache.set_state_arrays(result.state_tags, result.state_dirty)
@@ -243,31 +219,40 @@ class MacTableModel:
     def __init__(self, layout: MetadataLayout, cache: MetadataCache):
         self.layout = layout
         self.cache = cache
+        #: MAC tag of line index 0 (tags advance one per line).
+        self._tag_base = layout.mac_line_addr(0) // LINE_BYTES
 
-    def _tag_base(self) -> int:
-        """MAC tag of line index 0 (tags advance by the line ratio)."""
-        return self.layout.mac_line_addr(0) // self.cache.line_bytes
+    def _kernel_spec(self) -> Tuple[int, int, Sequence]:
+        """The MAC side of a :func:`native.fused_drive` call."""
+        return (self._tag_base, self.cache.capacity_lines,
+                self.cache.drive_state())
 
     def process(self, stream: BlockStream, out: CacheTrafficResult) -> None:
-        ratio = _check_line_bytes(self.cache.line_bytes)
         idx, writes, cycles = _line_runs(stream, self.layout.unit_bytes)
-        if ratio != 1:
-            idx = idx * ratio
-        base = self._tag_base()
-        kernel = native.fused_drive(
-            idx, writes, cycles, self.cache.line_bytes,
-            mac=(base, self.cache.capacity_lines,
-                 self.cache.drive_state()))
+        kernel = native.fused_drive(idx, writes, cycles, LINE_BYTES,
+                                    mac=self._kernel_spec())
         if kernel is not None:
             _apply_drive_output(self.cache, out, kernel[0])
             return
-        tags = base + idx
-        state = self.cache.raw_lines
-        result = reuse_engine.drive(
-            tags, writes, self.cache.capacity_lines,
-            list(state.keys()), list(state.values()))
-        _apply_engine_result(self.cache, out, result, cycles, tags,
-                             wb_first=False)
+        self._process_scalar(idx, writes, cycles, out)
+
+    def _process_scalar(self, idx, writes, cycles,
+                        out: CacheTrafficResult) -> None:
+        """The :class:`LruCache` oracle drive over line-index runs (exact
+        for any stream): a miss emits the fetch, then any dirty
+        writeback."""
+        access = self.cache.access
+        addrs = (self._tag_base + idx) * LINE_BYTES
+        # Scalar oracle tier: one LruCache access per line run, kept as
+        # the reference the native tier is equivalence-tested against.
+        # repro: allow(hot-path-hygiene)
+        for addr, wr, cyc in zip(addrs.tolist(), writes.tolist(),
+                                 cycles.tolist()):
+            hit, writeback = access(addr, wr)
+            if not hit:
+                out.extend_miss(cyc, addr)
+            if writeback is not None:
+                out.extend_writeback(cyc, writeback)
 
     def flush(self, cycle: int, out: CacheTrafficResult) -> None:
         for addr in self.cache.flush():
@@ -288,67 +273,38 @@ class VnTreeModel:
         self.layout = layout
         self.cache = cache
         self.tree_levels = layout.tree_levels
-        #: Per-level (base address, index divisor) so the walk computes
-        #: node addresses without re-deriving layout constants.
-        self._walk = [(layout.tree_node_addr(0, level), TREE_ARITY ** level)
+        #: Per-level (node base tag, leaf divisor) so the walk computes
+        #: node tags without re-deriving layout constants.
+        self._walk = [(layout.tree_node_addr(0, level) // LINE_BYTES,
+                       TREE_ARITY ** level)
                       for level in range(1, self.tree_levels + 1)]
         #: VN-line index = line tag - the table's base tag (the layout
         #: keeps VN lines contiguous from the table base).
-        self._vn_base_tag = layout.vn_line_addr(0) // cache.line_bytes
+        self._vn_base_tag = layout.vn_line_addr(0) // LINE_BYTES
 
-    def _walk_spec(self) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Per-level (node base tag, leaf divisor) arrays + tag ratio."""
-        lb = self.cache.line_bytes
-        node_base = np.array([base // lb for base, _ in self._walk], np.int64)
+    def _kernel_spec(self) -> Tuple:
+        """The VN side of a :func:`native.fused_drive` call (leaf index
+        = line index, node tags advance one per node)."""
+        node_base = np.array([base for base, _ in self._walk], np.int64)
         node_div = np.array([div for _, div in self._walk], np.int64)
-        return node_base, node_div, LINE_BYTES // lb
+        return (self._vn_base_tag, self.cache.capacity_lines, 0, 1,
+                self.cache.drive_state(), node_base, node_div, 1)
 
     def process(self, stream: BlockStream, out: CacheTrafficResult) -> None:
-        ratio = _check_line_bytes(self.cache.line_bytes)
         idx, writes, cycles = _line_runs(stream, self.layout.unit_bytes)
-        if ratio != 1:
-            idx = idx * ratio
-        base = self._vn_base_tag
-        node_base, node_div, _ = self._walk_spec()
-        kernel = native.fused_drive(
-            idx, writes, cycles, self.cache.line_bytes,
-            vn=(base, self.cache.capacity_lines, 0, ratio,
-                self.cache.drive_state(), node_base, node_div, ratio))
+        kernel = native.fused_drive(idx, writes, cycles, LINE_BYTES,
+                                    vn=self._kernel_spec())
         if kernel is not None:
             _apply_drive_output(self.cache, out, kernel[1])
             return
-        self._process_engine(base + idx, idx // ratio if ratio != 1 else idx,
-                             writes, cycles, out)
+        self._process_scalar(idx, writes, cycles, out)
 
-    def _process_engine(self, tags: np.ndarray, leaf_idx: np.ndarray,
-                        writes: np.ndarray, cycles: np.ndarray,
+    def _process_scalar(self, idx, writes, cycles,
                         out: CacheTrafficResult) -> None:
-        """Reuse-distance fixpoint drive with the scalar-oracle fallback."""
-        node_base, node_div, ratio = self._walk_spec()
-
-        def node_tags(level: int, rid: np.ndarray) -> np.ndarray:
-            return (node_base[level - 1]
-                    + (leaf_idx[rid] // node_div[level - 1]) * ratio)
-
-        state = self.cache.raw_lines
-        vn = reuse_engine.drive_vn_tree(
-            tags, writes, self.cache.capacity_lines, self.tree_levels,
-            node_tags, list(state.keys()), list(state.values()))
-        if vn is not None:
-            seq_cycles = cycles[vn.run_of_pos] if len(vn.run_of_pos) else cycles
-            _apply_engine_result(self.cache, out, vn.result, seq_cycles,
-                                 vn.seq_tags, wb_first=True)
-            return
-        self._process_scalar(tags, writes, cycles, out)
-
-    def _process_scalar(self, tags, writes, cycles,
-                        out: CacheTrafficResult) -> None:
-        """The ``OrderedDict`` oracle drive (exact for any stream); used
-        when the VN fixpoint does not settle on an adversarial stream."""
-        obs.incr("reuse.vn_scalar_fallback")
+        """The ``OrderedDict`` oracle drive over line-index runs (exact
+        for any stream)."""
         od = self.cache.raw_lines
         cap = self.cache.capacity_lines
-        lb = self.cache.line_bytes
         move, pop = od.move_to_end, od.popitem
         ap_c = out.stream_cycles.append
         ap_a = out.stream_addrs.append
@@ -357,11 +313,12 @@ class VnTreeModel:
         base_tag = self._vn_base_tag
         hits = misses = evictions = dirty = 0
         # Scalar oracle tier: the data-dependent VN-tree walk state
-        # machine, kept as the reference the vectorized/native tiers are
+        # machine, kept as the reference the native tier is
         # equivalence-tested against.
         # repro: allow(hot-path-hygiene)
-        for tag, wr, cyc in zip(tags.tolist(), writes.tolist(),
-                                cycles.tolist()):
+        for leaf, wr, cyc in zip(idx.tolist(), writes.tolist(),
+                                 cycles.tolist()):
+            tag = base_tag + leaf
             if tag in od:
                 hits += 1
                 move(tag)
@@ -376,17 +333,15 @@ class VnTreeModel:
                 if old_dirty:
                     dirty += 1
                     ap_c(cyc)
-                    ap_a(old_tag * lb)
+                    ap_a(old_tag * LINE_BYTES)
                     ap_w(1)
             od[tag] = wr
             ap_c(cyc)
-            ap_a(tag * lb)
+            ap_a(tag * LINE_BYTES)
             ap_w(0)
             # Walk ancestors until a cached node (or the root) vouches.
-            leaf = (tag - base_tag) * lb // LINE_BYTES
             for base, div in walk:
-                node = base + (leaf // div) * LINE_BYTES
-                ntag = node // lb
+                ntag = base + leaf // div
                 if ntag in od:
                     hits += 1
                     move(ntag)
@@ -400,11 +355,11 @@ class VnTreeModel:
                     if old_dirty:
                         dirty += 1
                         ap_c(cyc)
-                        ap_a(old_tag * lb)
+                        ap_a(old_tag * LINE_BYTES)
                         ap_w(1)
                 od[ntag] = wr
                 ap_c(cyc)
-                ap_a(node)
+                ap_a(ntag * LINE_BYTES)
                 ap_w(0)
         out.misses += misses
         self.cache.note(hits, misses, evictions, dirty)
@@ -425,60 +380,16 @@ def process_mac_vn(mac_model: MacTableModel, vn_model: VnTreeModel,
     are identical to calling ``mac_model.process`` then
     ``vn_model.process``.
     """
-    mac_cache, vn_cache = mac_model.cache, vn_model.cache
-    if (mac_cache.line_bytes != LINE_BYTES
-            or vn_cache.line_bytes != LINE_BYTES):
-        mac_model.process(stream, mac_out)
-        vn_model.process(stream, vn_out)
-        return
-    layout = mac_model.layout
-    idx, writes, cycles = _line_runs(stream, layout.unit_bytes)
-    mac_base = layout.mac_line_addr(0) // LINE_BYTES
-    vn_base = layout.vn_line_addr(0) // LINE_BYTES
-    node_base, node_div, ratio = vn_model._walk_spec()
-
-    kernel = native.fused_drive(
-        idx, writes, cycles, LINE_BYTES,
-        mac=(mac_base, mac_cache.capacity_lines, mac_cache.drive_state()),
-        vn=(vn_base, vn_cache.capacity_lines, 0, 1,
-            vn_cache.drive_state(), node_base, node_div, ratio))
+    idx, writes, cycles = _line_runs(stream, mac_model.layout.unit_bytes)
+    kernel = native.fused_drive(idx, writes, cycles, LINE_BYTES,
+                                mac=mac_model._kernel_spec(),
+                                vn=vn_model._kernel_spec())
     if kernel is not None:
-        _apply_drive_output(mac_cache, mac_out, kernel[0])
-        _apply_drive_output(vn_cache, vn_out, kernel[1])
+        _apply_drive_output(mac_model.cache, mac_out, kernel[0])
+        _apply_drive_output(vn_model.cache, vn_out, kernel[1])
         return
-
-    # Vectorized path: the occurrence chains depend only on the line-run
-    # equality structure, so MAC and VN share one link build.
-    mac_tags = mac_base + idx
-    mac_state = mac_cache.raw_lines
-    if len(mac_state):
-        mac_result = reuse_engine.drive(
-            mac_tags, writes, mac_cache.capacity_lines,
-            list(mac_state.keys()), list(mac_state.values()))
-        links = None
-    else:
-        links = reuse_engine.build_links(idx)
-        mac_result = reuse_engine.drive_links(
-            links, mac_tags, writes, mac_cache.capacity_lines)
-    _apply_engine_result(mac_cache, mac_out, mac_result, cycles, mac_tags,
-                         wb_first=False)
-
-    vn_tags = vn_base + idx
-
-    def node_tags(level: int, rid: np.ndarray) -> np.ndarray:
-        return node_base[level - 1] + idx[rid] // node_div[level - 1]
-
-    vn_state = vn_cache.raw_lines
-    vn = reuse_engine.drive_vn_tree(
-        vn_tags, writes, vn_cache.capacity_lines, vn_model.tree_levels,
-        node_tags, list(vn_state.keys()), list(vn_state.values()),
-        backbone=links if not len(vn_state) else None)
-    if vn is not None:
-        seq_cycles = cycles[vn.run_of_pos] if len(vn.run_of_pos) else cycles
-        _apply_engine_result(vn_cache, vn_out, vn.result, seq_cycles,
-                             vn.seq_tags, wb_first=True)
-    else:
-        vn_model._process_scalar(vn_tags, writes, cycles, vn_out)
+    mac_model._process_scalar(idx, writes, cycles, mac_out)
+    vn_model._process_scalar(idx, writes, cycles, vn_out)
 
 
 #: Images a batched layer actually pushes through the stateful cache

@@ -334,8 +334,10 @@ class ResultStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
+            # One dumps call, not a streamed dump: only dumps reaches
+            # the C encoder.  The bytes are identical.
             with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, separators=(",", ":"))
+                handle.write(json.dumps(record, separators=(",", ":")))
             self._publish(key, tmp, path)
         except BaseException:
             try:

@@ -12,9 +12,10 @@
  *
  * The cache is a doubly linked LRU list over slot arrays plus an
  * open-addressing hash table (linear probing, backward-shift delete).
- * Compiled on demand by repro.protection.drive_kernel; the vectorized
- * reuse-distance engine and the OrderedDict oracle remain the pure
- * Python paths when no C compiler is available.
+ * Compiled on demand by repro.utils.native; the scalar oracles in
+ * repro/protection/metadata_model.py (MacTableModel._process_scalar,
+ * VnTreeModel._process_scalar) are the pure-Python path when no C
+ * compiler is available.
  */
 
 #include <stdint.h>

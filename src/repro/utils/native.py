@@ -1,23 +1,22 @@
 """On-demand compiled native kernels (optional accelerators).
 
-The vectorized reuse-distance engine (:mod:`repro.protection.reuse_engine`)
-removes the per-access Python cost of the metadata cache drives, but two
-carries stay irreducibly sequential: the VN integrity-tree walk (a
-data-dependent state machine, reachable offline only through fixpoint
-iteration) and the reference DRAM model's bus/bank ready-time
-recurrence.  When a C compiler is available this module builds
-``_native_kernels.c`` — direct transcriptions of the reference scalar
-loops — and the hot paths run those carries in native code instead.
+Two carries in the data path are irreducibly sequential: the metadata
+cache drives (an LRU state machine, plus the data-dependent VN
+integrity-tree walk) and the reference DRAM model's bus/bank ready-time
+recurrence, along with the DRAM geometry and insertion scans around it.
+When a C compiler is available this module builds ``_native_kernels.c``
+— direct transcriptions of the reference loops — and the hot paths run
+them in native code instead.
 
 Everything degrades gracefully: no compiler (or
 ``REPRO_NO_NATIVE_KERNEL=1``) means :func:`available` is False and the
-callers use the pure numpy engine / Python carries, with the VN
-fixpoint falling back to the scalar oracle.  All tiers are pinned
-bit-identical by the equivalence suites in
-``tests/protection/test_reuse_engine.py`` and ``tests/dram``; the
-``FALLBACKS`` manifest below records which slow tier owns each kernel,
-and ``repro check``'s tier-parity rule fails the build if an entry
-point ships without one.
+callers use the pure-Python tiers — the scalar cache-drive oracles in
+:mod:`repro.protection.metadata_model` and the numpy/Python DRAM paths.
+Each kernel is pinned bit-identical to its fallback by the equivalence
+suites in ``tests/protection/test_drive_tiers.py`` and ``tests/dram``;
+the ``FALLBACKS`` manifest below records which slow tier owns each
+kernel, and ``repro check``'s tier-parity rule fails the build if an
+entry point ships without one.
 
 Environment knobs (speed-only — every tier is pinned bit-identical, so
 none of these can change a result): ``REPRO_NO_NATIVE_KERNEL`` disables
@@ -55,8 +54,8 @@ _SOURCE = os.path.join(os.path.dirname(__file__), "_native_kernels.c")
 #: path resolves, and an equivalence test in tests/ names the kernel.
 FALLBACKS = {
     "fused_drive": [
-        "repro.protection.reuse_engine:drive",
-        "repro.protection.metadata_model:VnTreeModel._process_engine",
+        "repro.protection.metadata_model:MacTableModel._process_scalar",
+        "repro.protection.metadata_model:VnTreeModel._process_scalar",
     ],
     "insertion_scan": [
         "repro.dram.simulator:DramSim._insertion_counts",
@@ -162,17 +161,17 @@ def _build() -> Optional[str]:
 def _degrade(reason: str) -> None:
     """Make an unintentional native-tier loss visible, exactly once.
 
-    The numpy tier owns correctness (all tiers are pinned
+    The pure-Python tiers own correctness (all tiers are pinned
     bit-identical), so losing the kernels is a speed problem, not a
-    correctness one — but a silent 5-10x slowdown is how perf
-    regressions hide.  One warning plus a counter; the process then
-    stays on the numpy tier permanently (``_load_attempted`` latches).
+    correctness one — but a silent slowdown is how perf regressions
+    hide.  One warning plus a counter; the process then stays on the
+    pure-Python tiers permanently (``_load_attempted`` latches).
     """
     obs.incr("native.degraded")
     warnings.warn(
         f"native kernels unavailable ({reason}); falling back to the "
-        f"bit-identical numpy tier for this process (slower; see the "
-        f"native.degraded counter)", RuntimeWarning, stacklevel=3)
+        f"bit-identical pure-Python tiers for this process (slower; see "
+        f"the native.degraded counter)", RuntimeWarning, stacklevel=3)
 
 
 def _load():

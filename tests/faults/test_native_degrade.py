@@ -23,7 +23,7 @@ class TestDegradation:
                           match="native kernels unavailable"):
             assert not native.available()
         assert recorder.counters["native.degraded"] == 1
-        # Latched: later probes are silent no-ops on the numpy tier.
+        # Latched: later probes are silent no-ops on the pure-Python tiers.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not native.available()

@@ -22,10 +22,6 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             MetadataCache(32)
 
-    def test_bad_line_size(self):
-        with pytest.raises(ValueError):
-            MetadataCache(1024, line_bytes=0)
-
 
 class TestLineAddressing:
     def test_same_line_hits(self):
