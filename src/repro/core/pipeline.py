@@ -221,11 +221,3 @@ class Pipeline:
                          scheme_name=scheme.name, layers=timings,
                          model_run=run, batch=topology.batch,
                          seq=topology.seq)
-
-    def dram_time(self, protection: LayerProtection) -> DramResult:
-        """DRAM service of one layer's combined stream (ad-hoc probing;
-        :meth:`run` batches all layers through the fast model instead)."""
-        stream = protection.combined_stream
-        if self.use_fast_dram:
-            return self.dram.simulate_fast(stream)
-        return self.dram.simulate(stream)

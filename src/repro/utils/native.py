@@ -3,17 +3,21 @@
 Two carries in the data path are irreducibly sequential: the metadata
 cache drives (an LRU state machine, plus the data-dependent VN
 integrity-tree walk) and the reference DRAM model's bus/bank ready-time
-recurrence, along with the DRAM geometry and insertion scans around it.
+recurrence.  The batched DRAM fast model adds two more loops: the
+per-stream bank-sorted geometry and the metadata insertion scan.
 When a C compiler is available this module builds ``_native_kernels.c``
 — direct transcriptions of the reference loops — and the hot paths run
 them in native code instead.
 
 Everything degrades gracefully: no compiler (or
 ``REPRO_NO_NATIVE_KERNEL=1``) means :func:`available` is False and the
-callers use the pure-Python tiers — the scalar cache-drive oracles in
-:mod:`repro.protection.metadata_model` and the numpy/Python DRAM paths.
+callers use one oracle per stage — the scalar cache-drive oracles in
+:mod:`repro.protection.metadata_model`, the per-stream numpy fast model
+``DramSim.simulate_fast`` for the batched DRAM model, and the Python
+completion carry of ``DramSim.simulate``.
 Each kernel is pinned bit-identical to its fallback by the equivalence
-suites in ``tests/protection/test_drive_tiers.py`` and ``tests/dram``;
+suites in ``tests/protection/test_drive_tiers.py``, ``tests/dram`` and
+``tests/utils/test_native_parity.py``;
 the ``FALLBACKS`` manifest below records which slow tier owns each
 kernel, and ``repro check``'s tier-parity rule fails the build if an
 entry point ships without one.
@@ -58,12 +62,10 @@ FALLBACKS = {
         "repro.protection.metadata_model:VnTreeModel._process_scalar",
     ],
     "insertion_scan": [
-        "repro.dram.simulator:DramSim._insertion_counts",
-        "repro.dram.simulator:DramSim._merge_entries",
+        "repro.dram.simulator:DramSim.simulate_fast",
     ],
     "geom_counts": [
-        "repro.dram.simulator:DramSim._sorted_geom",
-        "repro.dram.simulator:DramSim._stream_counts",
+        "repro.dram.simulator:DramSim.simulate_fast",
     ],
     "dram_completion": [
         "repro.dram.simulator:DramSim._channel_completion",
@@ -200,15 +202,15 @@ def _load():
         ]
         lib.insertion_scan.restype = ctypes.c_int
         lib.insertion_scan.argtypes = [
-            _i64p, _i64p, _i64p, _i64p, _i64,               # data side
-            _i64p, _i64p, _i64p, _i64p, _i64,               # metadata side
-            _i64, _i64, _i64p, _i64p,                       # geometry, outs
+            _i64p, _i64p, _i64p, _i64,                      # data side
+            _i64p, _i64p, _i64p, _i64,                      # metadata side
+            _i64, _i64p, _i64p,                             # bpc, outs
         ]
         lib.geom_counts.restype = ctypes.c_int
         lib.geom_counts.argtypes = [
             _i64p, _i64p, _i64,                             # addrs/cycles
             _i64, _i64, _i64, _i64, _i64,                   # shifts, span
-            _i64p, _i64p, _i64p, _i64p,                     # geometry outs
+            _i64p, _i64p, _i64p,                            # geometry outs
             _i64p, _i64p,                                   # count outs
         ]
         lib.drive_fused.restype = ctypes.c_int
@@ -416,27 +418,24 @@ def _c64(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def insertion_scan(key_a, seg_a, gb_a, rows_a, key_b, seg_b, gb_b, rows_b,
-                   nbanks: int, bpc: int,
+def insertion_scan(key_a, gb_a, rows_a, key_b, gb_b, rows_b, bpc: int,
                    requests: np.ndarray, conflicts: np.ndarray) -> bool:
-    """Native merge scan behind ``DramSim._insertion_counts``.
+    """Per-channel counts a metadata stream adds to a data stream.
 
-    Both sides must be (segment, key)-sorted; ``seg_a``/``seg_b`` may be
-    None for the single-segment per-entry shape (which needs none of
-    the concatenated copies the packed numpy scan builds).  Adds
-    metadata request and conflict counts into ``requests``/``conflicts``
-    in place; returns False when the kernel is unavailable (caller runs
-    the numpy scan).
+    Both sides are bank-sorted ``_sorted_geom`` arrays (global bank,
+    row, composite key).  Adds the metadata requests plus every
+    conflict-flag change the virtual merge causes into
+    ``requests``/``conflicts`` in place; returns False when the kernel
+    is unavailable (caller runs ``DramSim.simulate_fast`` on the
+    concatenation).
     """
     lib = _load()
     if lib is None:
         return False
     rc = lib.insertion_scan(
-        _p64(_c64(key_a)), None if seg_a is None else _p64(_c64(seg_a)),
-        _p64(_c64(gb_a)), _p64(_c64(rows_a)), len(key_a),
-        _p64(_c64(key_b)), None if seg_b is None else _p64(_c64(seg_b)),
-        _p64(_c64(gb_b)), _p64(_c64(rows_b)), len(key_b),
-        int(nbanks), int(bpc), _p64(requests), _p64(conflicts))
+        _p64(_c64(key_a)), _p64(_c64(gb_a)), _p64(_c64(rows_a)), len(key_a),
+        _p64(_c64(key_b)), _p64(_c64(gb_b)), _p64(_c64(rows_b)), len(key_b),
+        int(bpc), _p64(requests), _p64(conflicts))
     if rc == 0:
         obs.incr("native.dram_batch.kernel")
         return True
@@ -447,16 +446,16 @@ def geom_counts(addrs: np.ndarray, cycles: np.ndarray,
                 shifts: Tuple[int, int, int, int], key_span: int,
                 channels: int):
     """Fused decompose + bank counting-sort + per-channel counts for a
-    cycle-sorted stream (``DramSim._sorted_geom`` + ``_stream_counts``
-    in one native pass).  Returns ``(channel, gb_sorted, rows_sorted,
-    key_sorted, requests, conflicts)`` or ``None`` when unavailable.
+    cycle-sorted stream (the geometry ``DramSim._sorted_geom`` memoizes).
+    Returns ``(gb_sorted, rows_sorted, key_sorted, requests,
+    conflicts)``, or ``None`` when unavailable (caller runs
+    ``DramSim.simulate_fast``).
     """
     lib = _load()
     n = len(addrs)
     if lib is None or n == 0:
         return None
     block_shift, channel_shift, col_shift, bank_shift = shifts
-    channel = np.empty(n, np.int64)
     gb_s = np.empty(n, np.int64)
     rows_s = np.empty(n, np.int64)
     key_s = np.empty(n, np.int64)
@@ -466,12 +465,12 @@ def geom_counts(addrs: np.ndarray, cycles: np.ndarray,
         _p64(_c64(addrs)), _p64(_c64(cycles)), n,
         int(block_shift), int(channel_shift), int(col_shift),
         int(bank_shift), int(key_span),
-        _p64(channel), _p64(gb_s), _p64(rows_s), _p64(key_s),
+        _p64(gb_s), _p64(rows_s), _p64(key_s),
         _p64(requests), _p64(conflicts))
     if rc != 0:
         return None
     obs.incr("native.dram_geom.kernel")
-    return channel, gb_s, rows_s, key_s, requests, conflicts
+    return gb_s, rows_s, key_s, requests, conflicts
 
 
 def dram_completion(arrivals: np.ndarray, banks: np.ndarray,

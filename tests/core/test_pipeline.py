@@ -67,6 +67,22 @@ class TestProtectedRuns:
         assert run_fast.total_cycles == pytest.approx(
             run_slow.total_cycles, rel=0.05)
 
+    def test_baseline_shares_data_streams_with_seda(self, pipeline,
+                                                    topology):
+        """Both schemes serve each layer's cycle-sorted block stream as
+        the same object, so the DRAM model memoizes its geometry once."""
+        model_run = pipeline.simulate_model(topology)
+        rows = {}
+        for name in ("baseline", "seda"):
+            collected = []
+            pipeline.run(topology, make_scheme(name), model_run=model_run,
+                         collect=collected)
+            rows[name] = {p.layer_id: p.data_stream
+                          for p, _ in collected if not p.is_flush}
+        assert set(rows["baseline"]) == set(range(len(topology)))
+        for layer_id, stream in rows["baseline"].items():
+            assert stream is rows["seda"][layer_id]
+
     def test_bottleneck_histogram(self, pipeline, topology):
         run = pipeline.run(topology, make_scheme("baseline"))
         histogram = run.bottleneck_histogram()

@@ -158,8 +158,9 @@ class TestBatchedFastModel:
 
 
 class TestNativeBatchTiers:
-    """The native batched-model kernels (fused geometry pass, insertion
-    merge scan) must match the pure numpy tier bit for bit."""
+    """The batched model's native kernels (memoized geometry pass plus
+    insertion scan) must match the ``simulate_fast`` oracle bit for bit,
+    and every entry the kernels cannot serve must be handed to it."""
 
     def _part_lists(self, seed):
         rng = np.random.default_rng(seed)
@@ -167,9 +168,8 @@ class TestNativeBatchTiers:
         for _ in range(6):
             n = int(rng.integers(1, 1200))
             m = int(rng.integers(0, 400))
-            # Cycle-sorted data part (the geom_counts fast path) plus an
-            # unsorted metadata part (the packed-sort path), like the
-            # pipeline's (data, metadata) entries.
+            # Cycle-sorted data part plus an unsorted metadata part,
+            # like the pipeline's (data, metadata) entries.
             data = _stream(rng.integers(0, 1 << 22, n).astype(np.uint64) * 64,
                            cycles=np.sort(rng.integers(0, 4_000, n)),
                            writes=rng.integers(0, 2, n).astype(bool))
@@ -183,22 +183,21 @@ class TestNativeBatchTiers:
         return part_lists
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_native_matches_numpy(self, seed, monkeypatch):
+    def test_native_matches_numpy(self, seed):
         from repro.utils import native
         if not native.available():
             pytest.skip("no native kernel in this environment")
         sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
-        got = sim.simulate_fast_batch_parts(self._part_lists(seed))
-        monkeypatch.setattr(native, "available", lambda: False)
-        monkeypatch.setattr(native, "geom_counts", lambda *a, **k: None)
-        sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
-        want = sim.simulate_fast_batch_parts(self._part_lists(seed))
-        for g, w in zip(got, want):
-            assert g == w
+        part_lists = self._part_lists(seed)
+        got = sim.simulate_fast_batch_parts(part_lists)
+        for parts, g in zip(part_lists, got):
+            # Served by the kernels: each part's geometry is memoized.
+            assert all(hasattr(p, "_dram_geom") for p in parts)
+            assert g == sim.simulate_fast(BlockStream.concat(parts))
 
     def test_native_matches_reference_model(self):
-        """End to end against the event-driven model: the native batch
-        tier classifies hits/misses exactly."""
+        """End to end against the event-driven model: the batched model
+        classifies hits/misses exactly."""
         sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
         part_lists = self._part_lists(17)
         batch = sim.simulate_fast_batch_parts(part_lists)
@@ -206,6 +205,45 @@ class TestNativeBatchTiers:
             ref = sim.simulate(BlockStream.concat(parts))
             assert got.row_misses == ref.row_misses
             assert got.per_channel_requests == ref.per_channel_requests
+
+    @staticmethod
+    def _edge_entry(case):
+        rng = np.random.default_rng(41)
+        config = SERVER_DRAM
+        parts = []
+        for size in (700, 250, 120):
+            # A small footprint: rows recur within each bank, so every
+            # ordering slip changes the conflict count.
+            parts.append(_stream(
+                rng.integers(0, 1 << 14, size).astype(np.uint64) * 64,
+                cycles=np.sort(rng.integers(0, 3_000, size)),
+                writes=rng.integers(0, 2, size).astype(bool)))
+        if case == "unsorted-data":
+            # Few distinct cycles: many same-bank ties whose arrival
+            # order the geometry's cycle sort must keep.
+            parts[0] = _stream(parts[0].addrs,
+                               cycles=rng.integers(0, 40, len(parts[0])),
+                               writes=parts[0].writes)
+        elif case == "huge-cycles":
+            parts[0] = _stream(parts[0].addrs,
+                               cycles=parts[0].cycles + (1 << 41),
+                               writes=parts[0].writes)
+        elif case == "three-channels":
+            config = DramConfig(total_bandwidth_gbps=20.0, channels=3)
+        return config, (parts if case == "three-parts" else parts[:2])
+
+    @pytest.mark.parametrize("case", ["unsorted-data", "three-parts",
+                                      "huge-cycles", "three-channels"])
+    def test_edge_entry_matches_oracle(self, case):
+        """Unsorted data, >2 parts, cycles past the key span and
+        non-power-of-two mappings all equal the oracle, and the
+        reference model's row-miss count."""
+        config, parts = self._edge_entry(case)
+        sim = DramSim(config, freq_ghz=1.0)
+        combined = BlockStream.concat(parts)
+        got, = sim.simulate_fast_batch_parts([parts])
+        assert got == sim.simulate_fast(combined)
+        assert got.row_misses == sim.simulate(combined).row_misses
 
 
 class TestBandwidthScaling:
